@@ -17,6 +17,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd frontbench && GOFLAGS=-mod=mod $(GO) vet ./... && GOFLAGS=-mod=mod $(GO) build ./...
 	$(GO) test -race ./internal/core/... ./internal/ratelimit/... ./internal/delay/... ./internal/detect/... ./internal/engine/... ./internal/storage/... ./internal/cluster/...
 	$(MAKE) torture
 	$(MAKE) torture-cluster

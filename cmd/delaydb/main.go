@@ -49,9 +49,13 @@
 // -replication R places each partition on R shards: a single-key write
 // applies to every replica in router order and acks once a read-serving
 // replica has it, point reads fail over inside the replica group, and
-// scans pick one live replica per partition. -shard-timeout bounds each
-// router→shard RPC; a shard slower than the deadline is treated as
-// failed and latched out of the read plane. The live map is served at
+// scans pick one live replica per partition. -shard-timeout bounds every
+// router→shard RPC — queries, writes, admin proxies, schema fetches,
+// health probes, the sketch exchange and migration; a shard slower than
+// the deadline is treated as failed and latched out of the read plane,
+// but a call whose client hung up first never latches, and writes run
+// detached from the client so a hang-up cannot split a replica group.
+// The live map is served at
 // GET /admin/partition-map; POST /admin/rebalance with {"version": v+1,
 // "owners": [...]} (or "replicas") starts the background tuple
 // migrator, which streams the moved partitions owner→owner with
@@ -155,7 +159,7 @@ func run(args []string, stdout io.Writer, ready chan<- string) error {
 		maxInFlight = fs.Int("maxinflight", cluster.DefaultMaxInFlight, "router edge admission: max queries in flight across the cluster")
 		partitions  = fs.Int("partitions", 0, "hash-partition tuples across shards into this many partitions (0 = full replication); point queries route to the owner shard, scans scatter-gather")
 		replication = fs.Int("replication", 1, "replica count per partition in partitioned cluster mode: writes apply to every replica, point reads fail over inside the group, scans pick one live replica per partition")
-		shardTO     = fs.Duration("shard-timeout", 0, "per-shard RPC deadline in cluster/router mode; an RPC exceeding it counts as a shard failure and latches the peer (0 = none)")
+		shardTO     = fs.Duration("shard-timeout", 0, "deadline on every router→shard RPC in cluster/router mode — queries, writes, admin, schema, probe, sketch-exchange and migration calls; an RPC exceeding it counts as a shard failure and latches the peer, while one whose client hung up first never does, and writes run detached from the client (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

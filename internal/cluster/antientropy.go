@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -84,7 +84,6 @@ func (r *Router) exchangeLocked(floor float64) error {
 		page, err := r.pullSketches(n, r.ae.marks[i], floor)
 		if err != nil {
 			r.aeErrors.Inc()
-			r.syncPeerDown()
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -122,7 +121,6 @@ func (r *Router) exchangeLocked(floor float64) error {
 		rejected, err := r.pushSketches(n, batch)
 		if err != nil {
 			r.aeErrors.Inc()
-			r.syncPeerDown()
 			pushFailed = true
 			if firstErr == nil {
 				firstErr = err
@@ -167,11 +165,7 @@ func (r *Router) mergeLag() float64 {
 // (only sketches re-converge), so it must not serve reads until an
 // operator replays/copies the data and confirms POST /admin/peer-up.
 func (r *Router) probePeer(n *Node) bool {
-	req, err := http.NewRequest(http.MethodGet, n.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := n.http.Do(req)
+	resp, err := r.call(context.Background(), n, rpc{path: "/healthz"})
 	if err != nil {
 		return false
 	}
@@ -186,12 +180,8 @@ func (r *Router) probePeer(n *Node) bool {
 }
 
 func (r *Router) pullSketches(n *Node, since uint64, floor float64) (*server.SketchPage, error) {
-	url := fmt.Sprintf("%s/admin/sketches?since=%d&floor=%g", n.base, since, floor)
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := n.do(req)
+	path := fmt.Sprintf("/admin/sketches?since=%d&floor=%g", since, floor)
+	resp, err := r.call(context.Background(), n, rpc{path: path})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: pulling sketches from %s: %w", n.name, err)
 	}
@@ -220,12 +210,7 @@ func (r *Router) pushSketches(n *Node, batch []detect.SketchSnapshot) (rejected 
 		if err != nil {
 			return rejected, err
 		}
-		req, err := http.NewRequest(http.MethodPost, n.base+"/admin/sketches", bytes.NewReader(body))
-		if err != nil {
-			return rejected, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.do(req)
+		resp, err := r.call(context.Background(), n, rpc{path: "/admin/sketches", body: body})
 		if err != nil {
 			return rejected, fmt.Errorf("cluster: pushing sketches to %s: %w", n.name, err)
 		}

@@ -1,17 +1,16 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
-	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/internal/sqlmini"
 )
@@ -57,7 +56,9 @@ type shardReply struct {
 // and client address are captured as strings before the goroutines
 // start: with LIMIT early-cancel the handler can return while laggard
 // RPCs still run, after which req belongs to the http server again.
-func (r *Router) fanStatements(ctx context.Context, req *http.Request, targets []int, reqFor func(int) server.QueryRequest) <-chan shardReply {
+// write marks the statements as writes, which run detached from ctx's
+// cancellation (rpc.write).
+func (r *Router) fanStatements(ctx context.Context, req *http.Request, targets []int, write bool, reqFor func(int) server.QueryRequest) <-chan shardReply {
 	id := req.Header.Get("X-Identity")
 	addr := req.RemoteAddr
 	ch := make(chan shardReply, len(targets))
@@ -68,72 +69,22 @@ func (r *Router) fanStatements(ctx context.Context, req *http.Request, targets [
 				ch <- shardReply{node: i, err: err}
 				return
 			}
-			ch <- r.shardQuery(ctx, i, body, id, addr)
+			ch <- r.shardQuery(ctx, i, rpc{path: "/query", body: body, id: id, addr: addr, write: write})
 		}(i)
 	}
 	return ch
 }
 
-// shardQuery runs one fanned RPC. It bypasses Node.do for one reason:
-// do latches a node down on any transport error, but a scatter that
-// cancelled its laggards on purpose (LIMIT satisfied, or another shard
-// already errored) must not mark healthy shards dead for obeying the
-// cancellation. The RPC carries the configured per-shard deadline; a
-// shard that exceeds it counts as a peer failure (down latch plus the
-// timeout counter) — the scatter retries its partitions elsewhere
-// instead of pinning the router's in-flight slots.
-func (r *Router) shardQuery(ctx context.Context, node int, body []byte, id, addr string) shardReply {
+// shardQuery runs one fanned RPC and decodes its answer. A leg the
+// scatter cancelled on purpose (LIMIT satisfied, or another shard
+// already errored) fails without latching its shard, by call's
+// cancellation rule; a shard past the deadline is a peer failure, and
+// the scatter retries its partitions elsewhere.
+func (r *Router) shardQuery(ctx context.Context, node int, op rpc) shardReply {
 	n := r.nodes[node]
-	rctx := ctx
-	var cancel context.CancelFunc
-	if d := r.cfg.ShardTimeout; d > 0 {
-		rctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, n.base+"/query", bytes.NewReader(body))
+	resp, err := r.call(ctx, n, op)
 	if err != nil {
 		return shardReply{node: node, err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id != "" {
-		req.Header.Set("X-Identity", id)
-	}
-	if addr != "" {
-		req.Header.Set("X-Forwarded-For", addr)
-	}
-	truncate := -1
-	if fault.Enabled() {
-		if k, ferr := fault.CheckWrite(fault.ClusterRPC, rpcBodyCap); ferr != nil {
-			if k <= 0 {
-				err = ferr // dropped before the wire
-			} else {
-				truncate = k // delivered, response cut short
-			}
-		}
-	}
-	n.inflight.Add(1)
-	var resp *http.Response
-	if err == nil {
-		if n.local != nil {
-			resp, err = n.local.RoundTrip(req)
-		} else {
-			resp, err = n.http.Do(req)
-		}
-	}
-	n.inflight.Add(-1)
-	if err != nil {
-		if ctx.Err() == nil { // the scatter did not cancel this leg on purpose
-			if rctx.Err() != nil {
-				r.rpcTimeouts.Inc()
-			}
-			n.latchDown()
-			r.peerErrors.Inc()
-			r.syncPeerDown()
-		}
-		return shardReply{node: node, err: err}
-	}
-	if truncate >= 0 {
-		resp.Body = &truncatedBody{r: io.LimitReader(resp.Body, int64(truncate)), c: resp.Body}
 	}
 	defer resp.Body.Close()
 	out := shardReply{node: node, status: resp.StatusCode, ct: resp.Header.Get("Content-Type")}
@@ -270,6 +221,9 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 	rows, done := 0, false
 
 	for round := 0; round < readRetryRounds && len(need) > 0 && !done; round++ {
+		if req.Context().Err() != nil {
+			return // the client is gone; nothing useful can be written
+		}
 		if round > 0 {
 			r.readRetries.Inc()
 			r.cfg.Clock.Sleep(rpcBackoff(round - 1))
@@ -284,8 +238,8 @@ func (r *Router) scatterRead(w http.ResponseWriter, req *http.Request, pm *Parti
 		for i := range cover {
 			targets = append(targets, i)
 		}
-		sortInts(targets)
-		ch := r.fanStatements(ctx, req, targets, func(i int) server.QueryRequest {
+		slices.Sort(targets)
+		ch := r.fanStatements(ctx, req, targets, false, func(i int) server.QueryRequest {
 			return server.QueryRequest{
 				SQL:     shardSQL,
 				PFilter: &server.PartitionFilter{Count: P, Include: cover[i]},
@@ -587,7 +541,8 @@ func predicateTarget(sql string) (string, *sqlmini.Where, bool) {
 // shard rejection relays (replicas agree on parse and constraint
 // errors); a half-landed write answers 503 — re-issuing is safe for
 // the idempotent statements the grammar has (INSERT re-apply errors on
-// the duplicate key; UPDATE/DELETE re-apply is a no-op).
+// the duplicate key; UPDATE/DELETE re-apply is a no-op). The legs run
+// detached from the client, so a hang-up cannot cut the fan short.
 //
 // Affected counts logical rows, not replica applications: a split
 // INSERT acks its full row count, and a predicate write pre-counts the
@@ -656,7 +611,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 			targets = append(targets, i)
 		}
 	}
-	sortInts(targets)
+	slices.Sort(targets)
 
 	var affected int64
 	if stmt.ins != nil {
@@ -676,7 +631,7 @@ func (r *Router) scatterWrite(w http.ResponseWriter, req *http.Request, pm *Part
 	}
 
 	r.writeFanout.Inc()
-	ch := r.fanStatements(req.Context(), req, targets, func(i int) server.QueryRequest {
+	ch := r.fanStatements(req.Context(), req, targets, true, func(i int) server.QueryRequest {
 		if stmt.ins == nil {
 			return server.QueryRequest{SQL: stmt.sql}
 		}

@@ -405,14 +405,8 @@ func (r *Router) purgeSlice(ctx context.Context, node, p, count int) (int64, err
 // plane.
 func (r *Router) shardTables(ctx context.Context, node int) ([]server.TableSchema, error) {
 	n := r.nodes[node]
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.base+"/admin/schema", nil)
+	resp, err := r.call(ctx, n, rpc{path: "/admin/schema"})
 	if err != nil {
-		return nil, err
-	}
-	resp, err := n.do(req)
-	if err != nil {
-		r.peerErrors.Inc()
-		r.syncPeerDown()
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -426,26 +420,18 @@ func (r *Router) shardTables(ctx context.Context, node int) ([]server.TableSchem
 	return sr.Tables, nil
 }
 
-// adminMigrate runs one migration op on a shard's admin plane. It goes
-// through Node.do on purpose: a transport failure latches the shard
-// down like any other RPC, and the cluster.rpc failpoint injects here
-// too — the torture harness must see migrations survive (or cleanly
-// roll back under) the same faults the query plane takes.
+// adminMigrate runs one migration op on a shard's admin plane. Like
+// every RPC it goes through call, so the torture harness sees
+// migrations survive (or cleanly roll back under) the same faults,
+// deadlines and down-latches the query plane takes.
 func (r *Router) adminMigrate(ctx context.Context, node int, mreq *server.MigrateRequest) (*server.MigrateResponse, error) {
 	n := r.nodes[node]
 	body, err := json.Marshal(mreq)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+"/admin/migrate", bytes.NewReader(body))
+	resp, err := r.call(ctx, n, rpc{path: "/admin/migrate", body: body})
 	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.do(req)
-	if err != nil {
-		r.peerErrors.Inc()
-		r.syncPeerDown()
 		return nil, err
 	}
 	defer resp.Body.Close()

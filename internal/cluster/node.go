@@ -8,15 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/fault"
 )
-
-// rpcBodyCap is the byte budget handed to the cluster.rpc torn-write
-// failpoint: effectively unbounded, so an uninjected call passes every
-// response through whole, while an injected one picks a cut point
-// below any real response size.
-const rpcBodyCap = 1 << 30
 
 // Node is one delaydb shard behind the router. Local nodes (handlers
 // in this process, the test and single-binary cluster mode) and HTTP
@@ -32,7 +24,7 @@ type Node struct {
 	// straight to the RoundTripper, skipping the http.Client wrapper
 	// (header copier, redirect plumbing) that costs real time on the
 	// point-query hot path. Cancellation still works — the forwarded
-	// request carries the client's context. nil for HTTP peers, which
+	// request carries the call's context. nil for HTTP peers, which
 	// keep the full client for its timeout handling.
 	local http.RoundTripper
 	// direct, when non-nil, serves single-target reads by invoking the
@@ -51,7 +43,7 @@ type Node struct {
 	// signal and the per-peer gauge.
 	inflight atomic.Int64
 	// down latches when a request to the peer fails at the transport
-	// level. Routing and the exchange skip down peers entirely. The
+	// level while its caller was still waiting (see Router.call). Routing and the exchange skip down peers entirely. The
 	// anti-entropy loop's health probe moves a down peer to resync;
 	// only POST /admin/peer-up clears both latches.
 	down atomic.Bool
@@ -156,58 +148,14 @@ func (n *Node) readable() bool { return !n.down.Load() && !n.resync.Load() }
 // InFlight returns the live request count against this node.
 func (n *Node) InFlight() int64 { return n.inflight.Load() }
 
-// do sends req to the node, tracking in-flight load. A transport-level
-// failure latches the node down; HTTP error statuses do not (the peer
-// answered — it is alive, just unhappy).
+// do sends req over the node's transport: the raw round trip, with no
+// routing policy. Router.call is its only caller.
 func (n *Node) do(req *http.Request) (*http.Response, error) {
-	truncate := -1
-	if fault.Enabled() {
-		if k, ferr := fault.CheckWrite(fault.ClusterRPC, rpcBodyCap); ferr != nil {
-			if k <= 0 {
-				// Dropped before the wire: indistinguishable from a
-				// refused connection, so it latches the peer like one.
-				if req.Body != nil {
-					req.Body.Close()
-				}
-				n.latchDown()
-				return nil, ferr
-			}
-			// Delivered, but the response comes back cut short: the
-			// status line survives, the body truncates mid-stream, and
-			// the caller's decoder hits unexpected EOF. No down latch —
-			// the peer did answer.
-			truncate = k
-		}
-	}
-	n.inflight.Add(1)
-	defer n.inflight.Add(-1)
-	var resp *http.Response
-	var err error
 	if n.local != nil {
-		resp, err = n.local.RoundTrip(req)
-	} else {
-		resp, err = n.http.Do(req)
+		return n.local.RoundTrip(req)
 	}
-	if err != nil {
-		n.latchDown()
-		return nil, err
-	}
-	if truncate >= 0 {
-		resp.Body = &truncatedBody{r: io.LimitReader(resp.Body, int64(truncate)), c: resp.Body}
-		resp.ContentLength = -1
-	}
-	return resp, nil
+	return n.http.Do(req)
 }
-
-// truncatedBody delivers a prefix of the real body (the cluster.rpc
-// torn failure) while closing the whole underlying stream.
-type truncatedBody struct {
-	r io.Reader
-	c io.Closer
-}
-
-func (t *truncatedBody) Read(p []byte) (int, error) { return t.r.Read(p) }
-func (t *truncatedBody) Close() error               { return t.c.Close() }
 
 // urlFor returns the parsed URL for base+path, cached per path.
 func (n *Node) urlFor(path string) (*url.URL, error) {

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -182,16 +184,8 @@ func (m *PartitionMap) ownerSet() []int {
 			}
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Partitioned reports whether the router routes by tuple partition.
@@ -297,34 +291,23 @@ func (r *Router) keyFor(table string) (tableKey, bool) {
 	return tableKey{}, false
 }
 
+// fetchSchemas fills the key cache from the first readable shard that
+// answers; schemaMu serializes it. The fetch is not the client's to
+// cancel: a statement planned without its key would misroute (an
+// INSERT onto a shard that does not own the row), so only the
+// ShardTimeout deadline bounds it.
 func (r *Router) fetchSchemas() {
 	r.schemaMu.Lock()
 	defer r.schemaMu.Unlock()
-	h := r.healthy()
-	if len(h) == 0 {
+	for _, i := range r.healthy() {
+		tables, err := r.shardTables(context.Background(), i)
+		if err != nil {
+			continue
+		}
+		for _, t := range tables {
+			r.schemas.Store(strings.ToLower(t.Name), tableKey{name: t.Key, idx: t.KeyIndex})
+		}
 		return
-	}
-	n := r.nodes[h[0]]
-	req, err := http.NewRequest(http.MethodGet, n.base+"/admin/schema", nil)
-	if err != nil {
-		return
-	}
-	resp, err := n.do(req)
-	if err != nil {
-		r.peerErrors.Inc()
-		r.syncPeerDown()
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	var sr server.SchemaResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return
-	}
-	for _, t := range sr.Tables {
-		r.schemas.Store(strings.ToLower(t.Name), tableKey{name: t.Key, idx: t.KeyIndex})
 	}
 }
 
@@ -525,7 +508,7 @@ func (r *Router) servePartitioned(w http.ResponseWriter, req *http.Request, pm *
 // also exclude resync shards — a shard missing acked writes must not
 // serve the only copy of a row). The response relays only after
 // re-checking that the map did not change mid-flight — the reason this
-// path uses forward+relay rather than serving the shard handler
+// path uses call+relay rather than serving the shard handler
 // directly on the client's ResponseWriter, which could not retract an
 // answer written under a stale map.
 func (r *Router) serveOwner(w http.ResponseWriter, req *http.Request, pm *PartitionMap, node int, body []byte, scratch *bodyScratch, read bool) {
@@ -535,18 +518,15 @@ func (r *Router) serveOwner(w http.ResponseWriter, req *http.Request, pm *Partit
 			fmt.Errorf("partition owner %s unavailable", n.name))
 		return
 	}
-	resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
+	op := forwardOp(req, "/query", body, scratch)
+	op.write = !read
+	resp, err := r.call(req.Context(), n, op)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("partition owner %s unreachable: %v", n.name, err))
 		return
 	}
-	if r.pmap.Load() != pm {
-		resp.Body.Close()
-		r.writePartitionStale(w)
-		return
-	}
-	relay(w, resp)
+	r.relayUnder(w, pm, resp)
 }
 
 // PartitionMapResponse is the GET /admin/partition-map body.

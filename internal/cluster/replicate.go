@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -46,11 +47,13 @@ const readRetryRounds = 3
 // invisible to clients when R > 1. A 5xx answer is retryable too (on
 // another replica first, then after a jittered backoff), bounded by
 // readRetryRounds; the last shard answer is relayed when the budget
-// runs out. The response relays only after re-checking the map pointer,
-// so an answer computed under a superseded map is retracted as a 409.
+// runs out. The walk and its retries stop once the client hangs up.
+// The response relays only after re-checking the map pointer, so an
+// answer computed under a superseded map is retracted as a 409.
 func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *PartitionMap, part int, body []byte, scratch *bodyScratch) {
 	group := pm.groupOf(part)
 	var last *http.Response
+walk:
 	for round := 0; round < readRetryRounds; round++ {
 		if round > 0 {
 			any := false
@@ -67,6 +70,9 @@ func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *
 			r.cfg.Clock.Sleep(rpcBackoff(round - 1))
 		}
 		for ri, i := range group {
+			if req.Context().Err() != nil {
+				break walk
+			}
 			n := r.nodes[i]
 			if !n.readable() {
 				continue
@@ -74,9 +80,9 @@ func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *
 			if ri > 0 || round > 0 {
 				r.readFailover.Inc()
 			}
-			resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
+			resp, err := r.call(req.Context(), n, forwardOp(req, "/query", body, scratch))
 			if err != nil {
-				continue // latched down; next replica
+				continue // latched down (or the client left); next replica
 			}
 			if resp.StatusCode >= http.StatusInternalServerError {
 				if last != nil {
@@ -88,26 +94,31 @@ func (r *Router) serveReplicaRead(w http.ResponseWriter, req *http.Request, pm *
 			if last != nil {
 				last.Body.Close()
 			}
-			if r.pmap.Load() != pm {
-				resp.Body.Close()
-				r.writePartitionStale(w)
-				return
-			}
-			relay(w, resp)
+			r.relayUnder(w, pm, resp)
 			return
 		}
 	}
 	if last != nil {
-		if r.pmap.Load() != pm {
-			last.Body.Close()
-			r.writePartitionStale(w)
-			return
-		}
-		relay(w, last)
+		r.relayUnder(w, pm, last)
 		return
+	}
+	if req.Context().Err() != nil {
+		return // the client is gone; nothing useful can be written
 	}
 	writeErr(w, http.StatusServiceUnavailable,
 		fmt.Errorf("partition %d unavailable: no readable replica", part))
+}
+
+// relayUnder relays a shard response computed under map pm, or retracts
+// it as a 409 when the map changed while it was in flight. A nil pm
+// (a write not routed by partition) always relays.
+func (r *Router) relayUnder(w http.ResponseWriter, pm *PartitionMap, resp *http.Response) {
+	if pm != nil && r.pmap.Load() != pm {
+		resp.Body.Close()
+		r.writePartitionStale(w)
+		return
+	}
+	relay(w, resp)
 }
 
 // fanResult is one leg of a raw fan-out.
@@ -116,139 +127,82 @@ type fanResult struct {
 	err  error
 }
 
-// fanRaw sends body to every target concurrently, through the
-// cluster.fanout failpoint, returning raw responses positionally.
-func (r *Router) fanRaw(req *http.Request, targets []int, body []byte, scratch *bodyScratch) []fanResult {
+// applied reports whether the leg's shard accepted the write.
+func (f fanResult) applied() bool { return f.err == nil && f.resp.StatusCode == http.StatusOK }
+
+// fanRaw sends op to every target through the cluster.fanout
+// failpoint — concurrently when there is more than one — and returns
+// the raw responses positionally.
+func (r *Router) fanRaw(ctx context.Context, targets []int, op rpc) []fanResult {
+	r.writeFanout.Inc()
 	results := make([]fanResult, len(targets))
+	if len(targets) == 1 {
+		results[0] = r.fanLeg(ctx, targets[0], op)
+		return results
+	}
+	op.inbound = nil // concurrent legs cannot share the client's request
 	var wg sync.WaitGroup
 	for slot, i := range targets {
 		wg.Add(1)
 		go func(slot, i int) {
 			defer wg.Done()
-			if err := fault.Check(fault.ClusterFanout); err != nil {
-				results[slot] = fanResult{err: err}
-				return
-			}
-			resp, err := r.forwardScratch(req, r.nodes[i], "/query", body, false, scratch)
-			results[slot] = fanResult{resp: resp, err: err}
+			results[slot] = r.fanLeg(ctx, i, op)
 		}(slot, i)
 	}
 	wg.Wait()
 	return results
 }
 
-// serveGroupWrite applies a single-key write to its partition's whole
-// replica group (plus any migration dual-write gainers), in the
-// router's order: the caller holds the partition's mutex for the full
-// fan, so two writes to one partition cannot interleave differently on
-// different replicas. The ack rule generalizes the replicated fan-out:
-// the write acks iff a readable replica of the OWNING group accepted
-// it; an owning replica that failed while its siblings acked has
-// diverged and is latched out of the read path (resync) before the ack
-// relays. A gainer's failure never fails the client — it marks the
-// partition dirty so the migrator re-copies it.
-func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *PartitionMap, part int, body []byte, scratch *bodyScratch) {
-	r.partLocks.RLock()
-	defer r.partLocks.RUnlock()
-	r.partMu[part].Lock()
-	defer r.partMu[part].Unlock()
-
-	// The map may have cut over while this write queued on the lock;
-	// its partition assignment (and dual-write set) would be stale.
-	if r.pmap.Load() != pm {
-		r.writePartitionStale(w)
-		return
+// fanLeg sends one leg of a fan-out.
+func (r *Router) fanLeg(ctx context.Context, node int, op rpc) fanResult {
+	if err := fault.Check(fault.ClusterFanout); err != nil {
+		return fanResult{err: err}
 	}
+	resp, err := r.call(ctx, r.nodes[node], op)
+	return fanResult{resp: resp, err: err}
+}
 
-	group := pm.groupOf(part)
-	gainers := r.migrationGainers(pm, part)
-	targets := make([]int, 0, len(group)+len(gainers))
-	owners := 0
-	for _, i := range group {
-		if !r.nodes[i].down.Load() {
-			targets = append(targets, i)
-			owners++
-		}
-	}
-	if owners == 0 {
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("partition %d unavailable: no reachable replica", part))
-		return
-	}
-	for _, i := range gainers {
-		if r.nodes[i].down.Load() {
-			// The in-flight copy misses this write; re-queue the
-			// partition for the migrator rather than dropping it.
-			r.migrationMarkDirty(pm, part)
-			continue
-		}
-		targets = append(targets, i)
-	}
-
-	// Single-target fast path — the R=1 steady state: forward and relay
-	// raw, no fan bookkeeping. Requires the sole target to be readable,
-	// because a success confined to a writes-only resync replica is not
-	// an ack.
-	if len(targets) == 1 && r.nodes[targets[0]].readable() {
-		n := r.nodes[targets[0]]
-		resp, err := r.forwardScratch(req, n, "/query", body, n.local != nil, scratch)
-		if err != nil {
-			writeErr(w, http.StatusServiceUnavailable,
-				fmt.Errorf("partition owner %s unreachable: %v", n.name, err))
-			return
-		}
-		if r.pmap.Load() != pm {
-			resp.Body.Close()
-			r.writePartitionStale(w)
-			return
-		}
-		relay(w, resp)
-		return
-	}
-
-	r.writeFanout.Inc()
-	results := r.fanRaw(req, targets, body, scratch)
-
+// settleWrite answers a fanned write from its results, where the first
+// owners targets are the replicas the write must land on and the rest
+// are migration gainers of partition part; pm is the map the write
+// routed under (nil for all-node writes, which skip the final map
+// check). The write acks iff a readable owner accepted it. Once acked,
+// every owner that did not apply it and is still reachable — it
+// answered an error the others did not share, or its fan leg was
+// dropped — has diverged from the replica set and is latched out of the
+// read path (resync) before the ack relays; owners that died mid-write
+// latched down inside the transport. Either way an acked write stays
+// readable on every shard a read can route to. A gainer's failure never
+// fails the client — it marks the partition dirty so the migrator
+// re-copies it. Without an ack the first owner's error answer relays
+// (replicas agree on deterministic rejections); a success confined to
+// resync owners, or no answer at all, is a 503.
+func (r *Router) settleWrite(w http.ResponseWriter, pm *PartitionMap, part int, targets []int, owners int, results []fanResult) {
 	var ok, firstErr *http.Response
 	resyncOnlyOK := false
 	for slot, res := range results {
-		isOwner := slot < owners
 		if res.err != nil {
 			r.writeFanErr.Inc()
-			if !isOwner {
+		}
+		switch {
+		case slot >= owners:
+			if !res.applied() {
 				r.migrationMarkDirty(pm, part)
 			}
-			continue
-		}
-		if res.resp.StatusCode == http.StatusOK {
-			if isOwner && ok == nil && r.nodes[targets[slot]].readable() {
+		case res.applied() && r.nodes[targets[slot]].readable():
+			if ok == nil {
 				ok = res.resp
-			} else if isOwner && !r.nodes[targets[slot]].readable() {
-				resyncOnlyOK = true
 			}
-			continue
-		}
-		if !isOwner {
-			r.migrationMarkDirty(pm, part)
-			continue
-		}
-		if firstErr == nil {
+		case res.applied():
+			resyncOnlyOK = true
+		case res.err == nil && firstErr == nil:
 			firstErr = res.resp
 		}
 	}
 	if ok != nil {
-		// Acked: every owning replica that did not apply it must leave
-		// the read path. Shards that died mid-write latched down inside
-		// the transport; shards that answered an error — and shards
-		// whose fan leg was dropped before the wire (cluster.fanout) —
-		// are quarantined writes-only here.
-		for slot, res := range results {
-			if slot >= owners {
-				continue
-			}
+		for slot, res := range results[:owners] {
 			n := r.nodes[targets[slot]]
-			applied := res.err == nil && res.resp.StatusCode == http.StatusOK
-			if applied || n.down.Load() {
+			if res.applied() || n.down.Load() {
 				continue
 			}
 			if !n.resync.Load() {
@@ -267,20 +221,62 @@ func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *P
 			res.resp.Body.Close()
 		}
 	}
-	if chosen == nil {
-		if resyncOnlyOK {
-			writeErr(w, http.StatusServiceUnavailable,
-				errors.New("write applied to no read-serving replica; retry when the cluster recovers"))
-			return
-		}
+	switch {
+	case chosen != nil:
+		r.relayUnder(w, pm, chosen)
+	case resyncOnlyOK:
+		writeErr(w, http.StatusServiceUnavailable,
+			errors.New("write applied to no read-serving replica; retry when the cluster recovers"))
+	case part >= 0:
 		writeErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("write reached no replica of partition %d", part))
-		return
+	default:
+		writeErr(w, http.StatusServiceUnavailable, errors.New("write reached no shard"))
 	}
+}
+
+// serveGroupWrite applies a single-key write to its partition's whole
+// replica group (plus any migration dual-write gainers), in the
+// router's order: the caller holds the partition's mutex for the full
+// fan, so two writes to one partition cannot interleave differently on
+// different replicas. settleWrite decides the ack.
+func (r *Router) serveGroupWrite(w http.ResponseWriter, req *http.Request, pm *PartitionMap, part int, body []byte, scratch *bodyScratch) {
+	r.partLocks.RLock()
+	defer r.partLocks.RUnlock()
+	r.partMu[part].Lock()
+	defer r.partMu[part].Unlock()
+
+	// The map may have cut over while this write queued on the lock;
+	// its partition assignment (and dual-write set) would be stale.
 	if r.pmap.Load() != pm {
-		chosen.Body.Close()
 		r.writePartitionStale(w)
 		return
 	}
-	relay(w, chosen)
+
+	group := pm.groupOf(part)
+	gainers := r.migrationGainers(pm, part)
+	targets := make([]int, 0, len(group)+len(gainers))
+	for _, i := range group {
+		if !r.nodes[i].down.Load() {
+			targets = append(targets, i)
+		}
+	}
+	owners := len(targets)
+	if owners == 0 {
+		writeErr(w, http.StatusServiceUnavailable,
+			fmt.Errorf("partition %d unavailable: no reachable replica", part))
+		return
+	}
+	for _, i := range gainers {
+		if r.nodes[i].down.Load() {
+			// The in-flight copy misses this write; re-queue the
+			// partition for the migrator rather than dropping it.
+			r.migrationMarkDirty(pm, part)
+			continue
+		}
+		targets = append(targets, i)
+	}
+	op := forwardOp(req, "/query", body, scratch)
+	op.write = true
+	r.settleWrite(w, pm, part, targets, owners, r.fanRaw(req.Context(), targets, op))
 }

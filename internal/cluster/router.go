@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,9 +104,12 @@ type Config struct {
 	// and ack when at least one readable replica confirms; point reads
 	// fail over inside the group.
 	Replication int
-	// ShardTimeout bounds each router→shard RPC; a shard that exceeds
-	// it counts as a peer error (down-latch) rather than pinning the
-	// router's in-flight slots. 0 disables the per-RPC deadline.
+	// ShardTimeout bounds every router→shard RPC — queries, writes,
+	// admin proxies, schema fetches, health probes, the sketch exchange
+	// and migration — response body included. A shard that exceeds it
+	// counts as a peer error (down-latch) rather than pinning the
+	// router's in-flight slots, locks or exchange round. 0 disables the
+	// per-RPC deadline.
 	ShardTimeout time.Duration
 	// Clock drives the limiter and the anti-entropy staleness gauge.
 	// nil means the real clock.
@@ -142,21 +144,19 @@ type Router struct {
 	rr       counterRR
 	inflight *metrics.Gauge
 
-	// writeMu serializes write fan-outs. Every fan-out completes on
-	// all reachable shards before the next begins, so all replicas
-	// apply non-commutative writes in one (the router's) order —
-	// without it two concurrent UPDATEs to the same row could commit
-	// in opposite orders on different replicas and silently diverge
-	// them. Reads never take this lock.
-	writeMu sync.Mutex
-
-	// Partitioned-mode write ordering: a single-key group write holds
-	// partLocks.RLock plus its partition's mutex — writes to different
-	// partitions run concurrently, writes inside one partition (and
-	// the migrator's fenced copy of it) serialize. A scatter write
-	// holds partLocks exclusively, serializing with every group write
-	// at once. vnodes is kept so a rebalance can re-derive ring
-	// placement at a new replication factor.
+	// Write ordering: a single-key group write holds partLocks.RLock
+	// plus its partition's mutex — writes to different partitions run
+	// concurrently, writes inside one partition (and the migrator's
+	// fenced copy of it) serialize. A scatter write and an all-node
+	// write (replicated mode, DDL, /register) hold partLocks
+	// exclusively, serializing with every other write at once. Either
+	// way a write completes on all its replicas before the next one to
+	// the same rows begins, so replicas apply non-commutative writes in
+	// one (the router's) order — otherwise two concurrent UPDATEs to one
+	// row could commit in opposite orders on different replicas and
+	// silently diverge them. Reads never take these locks. vnodes is
+	// kept so a rebalance can re-derive ring placement at a new
+	// replication factor.
 	partLocks sync.RWMutex
 	partMu    []sync.Mutex
 	vnodes    int
@@ -579,115 +579,6 @@ func (r *Router) readOrder(principal string) []int {
 	}
 }
 
-// forward sends body to one node as a POST, preserving the identity
-// header. The caller owns the response body.
-//
-// reuse=true redirects the *inbound* request at the node in place,
-// reverse-proxy style — no second request allocation, headers pass
-// through untouched. Only legal when the caller holds the request
-// exclusively (single-target reads, not concurrent fan-out) and the
-// node is local (client transports reject server-form requests); the
-// downstream handler runs synchronously inside this call, so the
-// mutation cannot race the client connection.
-func (r *Router) forward(req *http.Request, n *Node, path string, body []byte, reuse bool) (*http.Response, error) {
-	return r.forwardScratch(req, n, path, body, reuse, nil)
-}
-
-// forwardScratch is forward with the caller's pooled scratch: when body
-// lives in a scratch buffer and the target is a remote peer, the
-// request body carries its own counted reference so the buffer cannot
-// return to the pool while the transport might still drain it.
-func (r *Router) forwardScratch(req *http.Request, n *Node, path string, body []byte, reuse bool, scratch *bodyScratch) (*http.Response, error) {
-	ctx := req.Context()
-	var cancel context.CancelFunc
-	timed := r.cfg.ShardTimeout > 0
-	if timed {
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.ShardTimeout)
-		// A timeout can abandon the shard handler mid-read, so the
-		// request body must outlive this call safely: no in-place reuse
-		// of the client's request, and pooled scratch always carries
-		// its counted reference — a local handler on its own goroutine
-		// may still be draining it after this scatter releases the
-		// scratch.
-		reuse = false
-	}
-	var out *http.Request
-	if reuse && n.local != nil {
-		u, err := n.urlFor(path)
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			return nil, err
-		}
-		uc := *u
-		out = req
-		out.URL = &uc
-		out.Host = uc.Host
-		out.RequestURI = ""
-		out.Body = io.NopCloser(bytes.NewReader(body))
-		out.ContentLength = int64(len(body))
-		// Preserve the client address for shards falling back to
-		// RemoteAddr identities.
-		out.Header.Set("X-Forwarded-For", req.RemoteAddr)
-	} else {
-		nr, err := http.NewRequestWithContext(ctx, http.MethodPost, n.base+path, nil)
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			return nil, err
-		}
-		if scratch != nil && (n.local == nil || timed) {
-			sb := &scratchBody{s: scratch}
-			sb.Reset(body)
-			scratch.retain()
-			nr.Body = sb
-		} else {
-			nr.Body = io.NopCloser(bytes.NewReader(body))
-		}
-		nr.ContentLength = int64(len(body))
-		nr.Header.Set("Content-Type", "application/json")
-		if id := req.Header.Get("X-Identity"); id != "" {
-			nr.Header.Set("X-Identity", id)
-		}
-		nr.Header.Set("X-Forwarded-For", req.RemoteAddr)
-		out = nr
-	}
-	resp, err := n.do(out)
-	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		if timed && ctx.Err() != nil && req.Context().Err() == nil {
-			r.rpcTimeouts.Inc()
-		}
-		r.peerErrors.Inc()
-		r.syncPeerDown()
-		return nil, err
-	}
-	if cancel != nil {
-		// The sub-context must survive until the caller finishes the
-		// body; Close releases it.
-		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	}
-	return resp, nil
-}
-
-// cancelBody ties a per-RPC timeout context to the response body's
-// lifetime: the context cancels (releasing its timer) when the body
-// closes.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelBody) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
-}
-
 // relay copies a shard response to the client verbatim.
 func relay(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
@@ -818,7 +709,7 @@ func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, principal s
 				r.serveDirect(w, req, r.nodes[i], "/query", body, scratch)
 				return
 			}
-			resp, err := r.forwardScratch(req, r.nodes[i], "/query", body, true, scratch)
+			resp, err := r.call(req.Context(), r.nodes[i], forwardOp(req, "/query", body, scratch))
 			if err == nil {
 				relay(w, resp)
 				return
@@ -828,6 +719,9 @@ func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, principal s
 	}
 	first := true
 	for _, i := range r.readOrder(principal) {
+		if req.Context().Err() != nil {
+			return // the client is gone; nothing useful can be written
+		}
 		if i == tried {
 			continue // already failed above; latched down since
 		}
@@ -839,7 +733,7 @@ func (r *Router) routeRead(w http.ResponseWriter, req *http.Request, principal s
 			r.serveDirect(w, req, r.nodes[i], "/query", body, scratch)
 			return
 		}
-		resp, err := r.forwardScratch(req, r.nodes[i], "/query", body, true, scratch)
+		resp, err := r.call(req.Context(), r.nodes[i], forwardOp(req, "/query", body, scratch))
 		if err != nil {
 			continue
 		}
@@ -884,104 +778,25 @@ func (r *Router) serveDirect(w http.ResponseWriter, req *http.Request, n *Node, 
 
 // fanoutWrite broadcasts a write to every reachable shard (including
 // writes-only resync peers — they must keep receiving new writes or
-// they fall further behind) concurrently, under the router's write
-// lock: each fan-out finishes on every shard before the next begins,
-// so all replicas apply non-commutative writes in one total order.
-// The write acks only when a *read-serving* shard accepted it — a
-// success visible to no read route is not an acked write. A reachable
-// shard whose outcome differs from the acked success (it answered, but
-// with an error — a local disk/WAL failure the others did not share)
-// has diverged from the replica set: it is latched into resync, out of
-// the read path, until an operator repairs and confirms it; shards
-// that died mid-write latch down as usual. Either way an acked write
-// stays readable on every shard a read can route to.
+// they fall further behind) concurrently, holding partLocks
+// exclusively: each fan-out finishes on every shard before the next
+// write begins, so all replicas apply non-commutative writes in one
+// total order. It settles like a group write whose owners are every
+// reachable shard: the write acks only when a read-serving shard
+// accepted it, and a shard that missed an acked write leaves the read
+// path.
 func (r *Router) fanoutWrite(w http.ResponseWriter, req *http.Request, path string, body []byte, scratch *bodyScratch) {
-	r.writeMu.Lock()
-	defer r.writeMu.Unlock()
+	r.partLocks.Lock()
+	defer r.partLocks.Unlock()
 
 	targets := r.reachable()
 	if len(targets) == 0 {
 		writeErr(w, http.StatusServiceUnavailable, errors.New("no healthy shards"))
 		return
 	}
-	r.writeFanout.Inc()
-	type result struct {
-		resp *http.Response
-		err  error
-	}
-	results := make([]result, len(targets))
-	var wg sync.WaitGroup
-	for slot, i := range targets {
-		wg.Add(1)
-		go func(slot, i int) {
-			defer wg.Done()
-			resp, err := r.forwardScratch(req, r.nodes[i], path, body, false, scratch)
-			results[slot] = result{resp: resp, err: err}
-		}(slot, i)
-	}
-	wg.Wait()
-
-	// Prefer relaying a success from a read-serving shard; otherwise
-	// relay the first shard error answer (replicas agree on
-	// deterministic rejections like a parse error); a success only on
-	// resync replicas is NOT an ack — no read can route to it — and
-	// all-transport-failure is a 503.
-	var first *http.Response
-	var ok *http.Response
-	resyncOnlyOK := false
-	for slot, res := range results {
-		if res.err != nil {
-			r.writeFanErr.Inc()
-			continue
-		}
-		if res.resp.StatusCode == http.StatusOK {
-			if ok == nil && r.nodes[targets[slot]].readable() {
-				ok = res.resp
-			} else if !r.nodes[targets[slot]].readable() {
-				resyncOnlyOK = true
-			}
-			continue
-		}
-		if first == nil {
-			first = res.resp
-		}
-	}
-	if ok != nil {
-		// The write is acked. Any reachable shard that answered the
-		// same statement with a different outcome no longer matches
-		// the replica set the client was told about — quarantine it
-		// writes-only until an operator resyncs it.
-		for slot, res := range results {
-			if res.err != nil || res.resp.StatusCode == http.StatusOK {
-				continue
-			}
-			n := r.nodes[targets[slot]]
-			if !n.resync.Load() {
-				n.latchResync()
-				r.writeDiverged.Inc()
-			}
-		}
-		r.syncPeerDown()
-	}
-	chosen := ok
-	if chosen == nil {
-		chosen = first
-	}
-	for _, res := range results {
-		if res.resp != nil && res.resp != chosen {
-			res.resp.Body.Close()
-		}
-	}
-	if chosen == nil {
-		if resyncOnlyOK {
-			writeErr(w, http.StatusServiceUnavailable,
-				errors.New("write applied to no read-serving replica; retry when the cluster recovers"))
-			return
-		}
-		writeErr(w, http.StatusServiceUnavailable, errors.New("write reached no shard"))
-		return
-	}
-	relay(w, chosen)
+	op := forwardOp(req, path, body, scratch)
+	op.write = true
+	r.settleWrite(w, nil, -1, targets, len(targets), r.fanRaw(req.Context(), targets, op))
 }
 
 // handleRegister broadcasts a registration to every healthy shard so
@@ -1085,22 +900,15 @@ func (r *Router) proxyGet(path string) http.HandlerFunc {
 			}
 			n = r.nodes[h[0]]
 		}
-		url := n.base + path
+		target := path
 		if raw := req.URL.Query(); len(raw) > 0 {
 			raw.Del("node")
 			if enc := raw.Encode(); enc != "" {
-				url += "?" + enc
+				target += "?" + enc
 			}
 		}
-		out, err := http.NewRequestWithContext(req.Context(), http.MethodGet, url, nil)
+		resp, err := r.call(req.Context(), n, rpc{path: target})
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp, err := n.do(out)
-		if err != nil {
-			r.peerErrors.Inc()
-			r.syncPeerDown()
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("shard %s unreachable: %w", n.name, err))
 			return
 		}
@@ -1146,16 +954,8 @@ func (r *Router) handleSuspectsAgg(w http.ResponseWriter, req *http.Request) {
 	enabled := false
 	answered := 0
 	for _, i := range targets {
-		n := r.nodes[i]
-		sreq, err := http.NewRequestWithContext(req.Context(), http.MethodGet,
-			n.base+"/admin/suspects?k="+strconv.Itoa(k), nil)
+		resp, err := r.call(req.Context(), r.nodes[i], rpc{path: "/admin/suspects?k=" + strconv.Itoa(k)})
 		if err != nil {
-			continue
-		}
-		resp, err := n.do(sreq)
-		if err != nil {
-			r.peerErrors.Inc()
-			r.syncPeerDown()
 			continue
 		}
 		var sr server.SuspectsResponse
@@ -1208,7 +1008,10 @@ func (r *Router) handleQuoteProxy(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	for _, i := range r.readOrder(identity(req)) {
-		resp, err := r.forward(req, r.nodes[i], "/admin/quote", body, true)
+		if req.Context().Err() != nil {
+			return // the client is gone
+		}
+		resp, err := r.call(req.Context(), r.nodes[i], forwardOp(req, "/admin/quote", body, nil))
 		if err != nil {
 			continue
 		}
